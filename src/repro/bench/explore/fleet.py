@@ -12,11 +12,6 @@ Results are memoized in a JSON cache keyed by
 ``config_digest(point + seed + run shape)``: a resumed or overlapping
 search re-proposes the same trials but never re-runs them, and its
 trajectory is identical to an uncached run's.
-
-The runner also cross-checks the determinism contract for free: trials
-that agree on every *digest-affecting* dimension (equal
-``sim_signature``) must report byte-identical ``figure_digest``\\ s no
-matter how any wall-clock-only dimensions differ.  A mismatch is a determinism bug and fails the search loudly.
 """
 
 from __future__ import annotations
@@ -69,34 +64,16 @@ def trial_key(payload: dict) -> str:
     })
 
 
-def signature_key(payload: dict) -> str:
-    """Figure-identity key: the digest-affecting slice of a trial.
-
-    Trials sharing this key must report equal ``figure_digest``.
-    """
-    return config_digest({
-        "signature": payload["sim_signature"],
-        "seed": payload["seed"],
-        "scale": payload["scale"],
-        "workload": payload["workload"],
-        "value_size": payload["value_size"],
-        "ops_fraction": payload["ops_fraction"],
-        "scenario": payload.get("scenario"),
-    })
-
-
 def make_trial(point: dict, overrides, scale: str, workload: str,
                value_size: int, seed: int,
                ops_fraction: float = 1.0,
-               sim_signature: Optional[dict] = None,
                scenario: Optional[str] = None) -> dict:
     """Assemble one picklable trial payload.
 
     ``overrides`` is the ``(cluster, options, run)`` triple from
-    :meth:`ConfigSpace.overrides`; ``sim_signature`` the point's
-    digest-affecting slice (defaults to the whole point).
-    ``scenario`` switches the trial from the closed-loop YCSB driver
-    to a :mod:`repro.scenarios` episode of that name — fitness then
+    :meth:`ConfigSpace.overrides`.  ``scenario`` switches the trial
+    from the closed-loop YCSB driver to a :mod:`repro.scenarios`
+    episode of that name — fitness then
     scores the config under churn/faults instead of steady state
     (``scale`` must name a scenario scale, and ``workload`` /
     ``value_size`` / ``ops_fraction`` are owned by the scenario).
@@ -122,8 +99,6 @@ def make_trial(point: dict, overrides, scale: str, workload: str,
         "seed": seed,
         "ops_fraction": ops_fraction,
         "scenario": scenario,
-        "sim_signature": sim_signature if sim_signature is not None
-        else dict(point),
     }
 
 
@@ -326,7 +301,6 @@ class FleetRunner:
         self.live_trials = 0
         self.cache_hits = 0
         self._cache: Dict[str, dict] = {}
-        self._signatures: Dict[str, str] = {}
         if cache_path and os.path.exists(cache_path):
             with open(cache_path) as handle:
                 self._cache = json.load(handle)
@@ -339,16 +313,6 @@ class FleetRunner:
             handle.write(canonical_json(self._cache))
             handle.write("\n")
         os.replace(tmp, self.cache_path)
-
-    def _check_signature(self, payload: dict, row: dict) -> None:
-        key = signature_key(payload)
-        seen = self._signatures.setdefault(key, row["figure_digest"])
-        if seen != row["figure_digest"]:
-            raise RuntimeError(
-                "determinism violation: trials sharing digest-affecting "
-                "config %s reported figure digests %s vs %s (point %s)"
-                % (canonical_json(payload["sim_signature"]), seen,
-                   row["figure_digest"], canonical_json(payload["point"])))
 
     def run(self, payloads: List[dict]) -> List[dict]:
         """Run a batch; results in submission order, cache-augmented.
@@ -365,7 +329,6 @@ class FleetRunner:
                 row = dict(hit)
                 row["cached"] = True
                 row["trial_key"] = key
-                self._check_signature(payload, row)
                 results[index] = row
             elif self.fleet >= 2:
                 pooled.append((index, key, payload))
@@ -378,18 +341,17 @@ class FleetRunner:
                                      mp_context=context) as pool:
                 rows = list(pool.map(run_trial,
                                      [p for _, _, p in pooled]))
-            for (index, key, payload), row in zip(pooled, rows):
-                self._finish(results, index, key, payload, row)
+            for (index, key, _payload), row in zip(pooled, rows):
+                self._finish(results, index, key, row)
         for index, key, payload in parent:
-            self._finish(results, index, key, payload, run_trial(payload))
+            self._finish(results, index, key, run_trial(payload))
         self._save_cache()
         return results  # type: ignore[return-value]
 
-    def _finish(self, results, index, key, payload, row) -> None:
+    def _finish(self, results, index, key, row) -> None:
         self.live_trials += 1
         self._cache[key] = row
         row = dict(row)
         row["cached"] = False
         row["trial_key"] = key
-        self._check_signature(payload, row)
         results[index] = row

@@ -69,11 +69,6 @@ class Dimension:
     name: str
     values: Tuple[object, ...]
     target: str = "options"
-    #: True when the knob can change simulated outcomes (figure
-    #: metrics); False for wall-clock-only knobs.  Trials that agree
-    #: on every digest-affecting dimension must produce identical
-    #: figure digests — the explorer cross-checks this for free.
-    digest_affecting: bool = True
     description: str = ""
     default: object = field(default=None)
 
@@ -102,7 +97,6 @@ class Dimension:
             "name": self.name,
             "values": list(self.values),
             "target": self.target,
-            "digest_affecting": self.digest_affecting,
             "default": self.default,
             "description": self.description,
         }
@@ -206,17 +200,6 @@ class ConfigSpace:
         for dim in self.dimensions:
             buckets[dim.target][dim.name] = point[dim.name]
         return cluster, options, run
-
-    def sim_signature(self, point: Point) -> Point:
-        """The digest-affecting slice of a point.
-
-        Two trials with equal signatures (and equal seed / run shape)
-        must produce identical figure digests no matter how the
-        wall-clock dimensions differ — the fleet runner asserts this.
-        """
-        point = self.check_point(point)
-        return {dim.name: point[dim.name] for dim in self.dimensions
-                if dim.digest_affecting}
 
     def validate(self) -> None:
         """Resolve the default point against the real config types.

@@ -135,7 +135,6 @@ class Evaluator:
                 point, self.space.overrides(point), self.scale,
                 self.workload, self.value_size, self.seed,
                 ops_fraction=ops_fraction,
-                sim_signature=self.space.sim_signature(point),
                 scenario=self.scenario))
         rows = self.runner.run(payloads)
         records = []

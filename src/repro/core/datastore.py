@@ -597,18 +597,17 @@ class LeedDataStore:
 
             previous = segment.find(key, khash)
             is_new_object = previous is None or previous.is_tombstone
+            superseded = 0 if is_new_object else value_entry_size(
+                len(key), previous.vlen)
             if is_new_object:
                 self.live_objects += 1
-            else:
-                self.stats.value_garbage_bytes += value_entry_size(
-                    len(key), previous.vlen)
+            self.stats.value_garbage_bytes += superseded
             try:
                 segment.upsert(KeyItem(key, len(value), voffset,
                                        ssd_id=target_store_id, khash=khash),
                                self.key_log.block_size, self.config.max_chain)
             except SegmentFullError:
-                if is_new_object:
-                    self.live_objects -= 1
+                self._abandon_put(len(entry), is_new_object, superseded)
                 return self._finish_put(OpResult(STORE_FULL), start, ssd_us,
                                         cpu_us, accesses - 1)
 
@@ -617,6 +616,7 @@ class LeedDataStore:
                 yield from self._write_segment(segment, enforce_reserve=True,
                                                trace=trace)
             except LogFullError:
+                self._abandon_put(len(entry), is_new_object, superseded)
                 ssd_us += self.sim.now - t0
                 return self._finish_put(OpResult(STORE_FULL), start, ssd_us,
                                         cpu_us, accesses - 1)
@@ -625,6 +625,18 @@ class LeedDataStore:
                                     accesses)
         finally:
             self.segtbl.unlock(seg_id)
+
+    def _abandon_put(self, entry_bytes: int, is_new_object: bool,
+                     superseded: int) -> None:
+        """Undo a PUT whose segment update failed after its value landed.
+
+        The value entry is already on the log but no segment points at
+        it, so it is garbage; the object it would have replaced (or
+        its absence) still stands.
+        """
+        if is_new_object:
+            self.live_objects -= 1
+        self.stats.value_garbage_bytes += entry_bytes - superseded
 
     def _finish_put(self, result: OpResult, start: float, ssd_us: float,
                     cpu_us: float, accesses: int) -> OpResult:
@@ -665,8 +677,8 @@ class LeedDataStore:
                 if item is None or item.is_tombstone:
                     result = OpResult(NOT_FOUND)
                 else:
-                    self.stats.value_garbage_bytes += value_entry_size(
-                        len(key), item.vlen)
+                    freed = value_entry_size(len(key), item.vlen)
+                    self.stats.value_garbage_bytes += freed
                     self.live_objects -= 1
                     item.vlen = TOMBSTONE_VLEN
                     item.voffset = 0
@@ -680,6 +692,9 @@ class LeedDataStore:
                                                        trace=trace)
                         result = OpResult(OK)
                     except LogFullError:
+                        # The tombstone never landed: the value lives on.
+                        self.stats.value_garbage_bytes -= freed
+                        self.live_objects += 1
                         result = OpResult(STORE_FULL)
                     ssd_us += self.sim.now - t0
                     accesses += 1

@@ -101,10 +101,12 @@ class LeedOptions:
     heartbeat_period_us: float = 50_000.0
     #: Batched datapath (docs/performance.md).  ``fast_datapath``
     #: switches CPU cores and SSD channels to analytic fast paths,
-    #: delivers NIC traffic without the rx-queue hop, runs client flow
-    #: rounds inline, issues client calls via callbacks, and coalesces
-    #: same-destination SENDs.  Default off: the one-event-per-step
-    #: schedule (and its digests) stays byte-identical.
+    #: serves GETs through the fused completion-time path, admits
+    #: engine commands directly, runs client flow rounds inline,
+    #: issues client calls via callbacks, and coalesces
+    #: same-destination SENDs.  Default off: every simulated result
+    #: of the default path stays byte-identical.  (Direct NIC→RPC
+    #: delivery is not part of the knob: it is the only path.)
     fast_datapath: bool = False
     #: Commands the partition engine may drain per scheduler wakeup;
     #: runs of >= 2 GETs execute through the store's vectored
@@ -303,8 +305,6 @@ class JBOFNode:
             ssd.fast_path = True
         for runtime in self.vnodes.values():
             runtime.engine.direct_admit = True
-        self.rpc.qp.enable_fast_rx()
-        self.rpc.enable_fast_dispatch()
         self.rpc.register_raw_sync("kv", self._handle_kv_fast)
 
     # -- construction -------------------------------------------------------------

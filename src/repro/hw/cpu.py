@@ -85,7 +85,8 @@ class Core:
             self.busy_time_us += duration
             yield self.sim.timeout(start + duration - self.sim.now)
             return
-        yield self._unit.acquire()
+        if not self._unit.try_acquire():
+            yield self._unit.acquire()
         yield self.sim.timeout(duration)
         self._unit.release()
         self.cycles_executed += cycles
@@ -112,7 +113,8 @@ class Core:
             self.busy_time_us += duration_us
             yield self.sim.timeout(start + duration_us - self.sim.now)
             return
-        yield self._unit.acquire()
+        if not self._unit.try_acquire():
+            yield self._unit.acquire()
         yield self.sim.timeout(duration_us)
         self._unit.release()
         self.cycles_executed += int(duration_us * self.freq_ghz * 1e3)

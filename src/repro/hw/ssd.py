@@ -262,8 +262,10 @@ class NVMeSSD:
             data = self.flash.read(offset, length)
             admitted = start
         else:
-            yield self._queue_slots.acquire()
-            yield self._channels.acquire()
+            if not self._queue_slots.try_acquire():
+                yield self._queue_slots.acquire()
+            if not self._channels.try_acquire():
+                yield self._channels.acquire()
             admitted = self.sim.now
             service = self._jittered(self.profile.read_service_us(max(length, 1)))
             yield self.sim.timeout(service)
@@ -331,8 +333,10 @@ class NVMeSSD:
             yield self.sim.timeout(done + extra_wait - submitted)
             self.flash.write(offset, data)
         else:
-            yield self._queue_slots.acquire()
-            yield self._channels.acquire()
+            if not self._queue_slots.try_acquire():
+                yield self._queue_slots.acquire()
+            if not self._channels.try_acquire():
+                yield self._channels.acquire()
             admitted = self.sim.now
             service = self._jittered(self.profile.write_service_us(max(len(data), 1)))
             # Aggregate bandwidth pacing: each write reserves drain time on the
@@ -375,7 +379,7 @@ class NVMeSSD:
                               args={"ios": len(extents),
                                     "bytes": sum(e[1] for e in extents)})
         submitted = self.sim.now
-        if not self.fast_path:
+        if not self.fast_path and not self._queue_slots.try_acquire():
             yield self._queue_slots.acquire()
         admitted = self.sim.now
         services = [self._jittered(self.profile.read_service_us(max(length, 1)))
@@ -411,7 +415,7 @@ class NVMeSSD:
             ctx = trace.child("ssd.write_multi", track=self.name, cat="device",
                               args={"ios": len(writes), "bytes": total})
         submitted = self.sim.now
-        if not self.fast_path:
+        if not self.fast_path and not self._queue_slots.try_acquire():
             yield self._queue_slots.acquire()
         admitted = self.sim.now
         services = [self._jittered(self.profile.write_service_us(max(len(data), 1)))

@@ -1,12 +1,15 @@
 """An RPC layer over the RDMA verbs (§3.5).
 
 Request path: the client posts a two-sided SEND carrying the command
-plus the rkey of a pre-allocated response buffer.  The server's
-dispatcher pops the recv CQ, runs the registered handler (a simulation
-generator — it may perform SSD I/O, forward along a chain, etc.), and
-answers with a one-sided WRITE-with-IMM into the client's response
-buffer, using the request id as the 32-bit immediate so the client
-matches responses without extra messages.
+plus the rkey of a pre-allocated response buffer.  The server
+dispatches each SEND as it arrives, runs the registered handler (a
+simulation generator — it may perform SSD I/O, forward along a chain,
+etc.), and answers with a one-sided WRITE-with-IMM into the client's
+response buffer, using the request id as the 32-bit immediate so the
+client completes the matching call, also on arrival, without extra
+messages.  Delivery is run-to-completion like the SPDK reactor: no
+completion-queue consumer process sits between the NIC and the
+handler.
 
 Also provides ``notify`` (one-way, no response) for chain forwarding,
 acknowledgments and heartbeats.
@@ -106,8 +109,8 @@ class RpcEndpoint:
         self._send_buf: Dict[str, list] = {}
         self.batches_sent = 0
         self.batched_requests = 0
-        sim.process(self._dispatch_requests(), name="rpc-dispatch@" + address)
-        sim.process(self._dispatch_responses(), name="rpc-responses@" + address)
+        self.qp.recv_handler = self._on_request_delivery
+        self.qp.write_handler = self._on_response_delivery
 
     # -- server side ---------------------------------------------------------------
 
@@ -179,15 +182,13 @@ class RpcEndpoint:
         self._handlers.pop(method, None)
         self._raw_handlers.pop(method, None)
 
-    def _dispatch_requests(self):
-        while True:
-            completion: SendCompletion = yield self.qp.recv_cq.get()
-            envelope = completion.payload
-            if isinstance(envelope, RpcBatch):
-                for request in envelope.requests:
-                    self._dispatch_one(completion.src, request)
-            else:
-                self._dispatch_one(completion.src, envelope)
+    def _on_request_delivery(self, completion: SendCompletion) -> None:
+        envelope = completion.payload
+        if isinstance(envelope, RpcBatch):
+            for request in envelope.requests:
+                self._dispatch_one(completion.src, request)
+        else:
+            self._dispatch_one(completion.src, envelope)
 
     def _dispatch_one(self, src: str, envelope) -> None:
         if isinstance(envelope, RpcRequest):
@@ -251,25 +252,7 @@ class RpcEndpoint:
                                response_nbytes + ENVELOPE_BYTES,
                                imm=request.request_id)
 
-    def enable_fast_dispatch(self) -> None:
-        """Bypass the CQ consumer processes (fast datapath).
-
-        Inbound SENDs dispatch straight from delivery into
-        :meth:`_dispatch_one`, and inbound response WRITEs complete
-        their pending call event inline — one scheduled event less on
-        each side of every RPC.  The CQ consumer processes stay parked
-        on their now-idle Stores, so this is reversible per-message.
-        """
-        self.qp.recv_handler = self._on_request_delivery
-        self.qp.write_handler = self._on_response_delivery
-
-    def _on_request_delivery(self, completion: SendCompletion) -> None:
-        envelope = completion.payload
-        if isinstance(envelope, RpcBatch):
-            for request in envelope.requests:
-                self._dispatch_one(completion.src, request)
-        else:
-            self._dispatch_one(completion.src, envelope)
+    # -- client side -----------------------------------------------------------------
 
     def _on_response_delivery(self, completion) -> None:
         response: RpcResponse = completion.payload
@@ -279,19 +262,6 @@ class RpcEndpoint:
                 waiter.fail(response.body)
             else:
                 waiter.succeed(response.body)
-
-    # -- client side -----------------------------------------------------------------
-
-    def _dispatch_responses(self):
-        while True:
-            completion = yield self.qp.write_cq.get()
-            response: RpcResponse = completion.payload
-            waiter = self._pending.pop(completion.imm, None)
-            if waiter is not None and not waiter.triggered:
-                if isinstance(response.body, RpcError):
-                    waiter.fail(response.body)
-                else:
-                    waiter.succeed(response.body)
 
     def call(self, dst: str, method: str, body: Any, nbytes: int,
              timeout_us: Optional[float] = None, defer: bool = False) -> Event:

@@ -32,7 +32,7 @@ from collections import deque
 from typing import Any, Callable, Generator, Optional
 
 from repro.sim.errors import StopSimulation
-from repro.sim.events import Delivery, Event, Timeout, all_of, any_of
+from repro.sim.events import PENDING, Delivery, Event, Timeout, all_of, any_of
 from repro.sim.process import Process
 
 #: Default priority for scheduled events.  Interrupts use 0 (urgent).
@@ -274,8 +274,11 @@ class Simulator:
 
         * ``None`` — run until no events remain;
         * a number — run until simulated time reaches it;
-        * an :class:`Event` — run until that event triggers, returning
-          its value (re-raising its exception when it failed).
+        * a :class:`Process` — run until it finishes (the dispatch that
+          finishes it is the last one), returning its value
+          (re-raising its exception when it failed);
+        * any other :class:`Event` — run until that event is
+          dispatched, returning its value likewise.
         """
         return self.run_batch(until)
 
@@ -291,20 +294,9 @@ class Simulator:
         """
         if self._sanitize_rng is not None:
             return self._run_sanitized(until)
-        stop_event: Optional[Event] = None
-        if until is None:
-            deadline = float("inf")
-        elif isinstance(until, Event):
-            stop_event = until
-            deadline = float("inf")
-            if stop_event.callbacks is not None:
-                stop_event.callbacks.append(self._stop_on_event)
-            elif stop_event.triggered:
-                return self._event_outcome(stop_event)
-        else:
-            deadline = float(until)
-            if deadline < self._now:
-                raise ValueError("cannot run until %r, now is %r" % (deadline, self._now))
+        if isinstance(until, Event) and self._until_reached(until):
+            return self._event_outcome(until)
+        stop_event, watch, deadline = self._arm_until(until)
 
         heap = self._heap
         imm = self._imm
@@ -354,6 +346,8 @@ class Simulator:
                         and getrefcount(event) == 2
                         and len(pool) < _TIMEOUT_POOL_MAX):
                     pool.append(event)
+                if watch is not None and watch._value is not PENDING:
+                    break
         except StopSimulation as stop:
             if stop_event is not None and stop_event.triggered:
                 return self._event_outcome(stop_event)
@@ -378,27 +372,17 @@ class Simulator:
         Timeout pooling is skipped — the sanitizer optimizes for
         schedule coverage, not throughput.
         """
-        stop_event: Optional[Event] = None
-        if until is None:
-            deadline = float("inf")
-        elif isinstance(until, Event):
-            stop_event = until
-            deadline = float("inf")
-            if stop_event.callbacks is not None:
-                stop_event.callbacks.append(self._stop_on_event)
-            elif stop_event.triggered:
-                return self._event_outcome(stop_event)
-        else:
-            deadline = float(until)
-            if deadline < self._now:
-                raise ValueError("cannot run until %r, now is %r"
-                                 % (deadline, self._now))
+        if isinstance(until, Event) and self._until_reached(until):
+            return self._event_outcome(until)
+        stop_event, watch, deadline = self._arm_until(until)
         try:
             while self._heap or self._imm:
                 if not self._imm and self._heap[0][0] > deadline:
                     self._now = deadline
                     return None
                 self.step()
+                if watch is not None and watch._value is not PENDING:
+                    break
         except StopSimulation as stop:
             if stop_event is not None and stop_event.triggered:
                 return self._event_outcome(stop_event)
@@ -413,6 +397,37 @@ class Simulator:
         if deadline != float("inf"):
             self._now = deadline
         return None
+
+    @staticmethod
+    def _until_reached(until: Event) -> bool:
+        """True when ``run(until=...)`` has nothing left to wait for."""
+        if isinstance(until, Process):
+            return until.triggered
+        return until.callbacks is None
+
+    def _arm_until(self, until: Any):
+        """Decode ``until`` into ``(stop_event, watch, deadline)``.
+
+        A live :class:`Process` is *watched*: the loop stops right
+        after the dispatch that finishes it, as a ``while not
+        proc.triggered: step()`` loop does.  A stop callback on it
+        would count as a waiter, so its completion would be dispatched
+        as an event the step loop never sees (a process nobody waits on
+        finishes in place).  Any other event stops the run through a
+        callback when it is dispatched.
+        """
+        if until is None:
+            return None, None, float("inf")
+        if isinstance(until, Process):
+            return until, until, float("inf")
+        if isinstance(until, Event):
+            until.callbacks.append(self._stop_on_event)
+            return until, None, float("inf")
+        deadline = float(until)
+        if deadline < self._now:
+            raise ValueError("cannot run until %r, now is %r"
+                             % (deadline, self._now))
+        return None, None, deadline
 
     @staticmethod
     def _event_outcome(event: Event) -> Any:

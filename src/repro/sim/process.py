@@ -91,7 +91,15 @@ class Process(Event):
                 next_event = self.generator.throw(event._value)
         except StopIteration as stop:
             self.sim._active_process = None
-            self.succeed(getattr(stop, "value", None))
+            if self.callbacks:
+                self.succeed(stop.value)
+            else:
+                # Nobody waits: finish processed in place.  A later
+                # ``yield proc`` / condition sees a processed event and
+                # resumes at once, as after a dispatched completion.
+                self._ok = True
+                self._value = stop.value
+                self.callbacks = None
             return
         except BaseException as exc:
             self.sim._active_process = None

@@ -97,6 +97,22 @@ class Resource:
         self._grant()
         return request
 
+    def try_acquire(self, amount: int = 1) -> bool:
+        """Take ``amount`` slots now if :meth:`acquire` would grant them
+        at once; never waits, never schedules an event.
+
+        Refuses whenever any request is queued, even when this amount
+        would fit beside it, so FCFS grant order is the same as through
+        :meth:`acquire`.  The run-to-completion caller continues
+        without a scheduler turn, as an SPDK handler that finds its
+        queue free does.
+        """
+        if self._waiters or amount > self.capacity - self._in_use:
+            return False
+        self._account()
+        self._in_use += amount
+        return True
+
     def release(self, amount: int = 1) -> None:
         """Return ``amount`` previously-acquired slots."""
         if amount > self._in_use:

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.datastore import LeedDataStore, StoreConfig
+from repro.core.segment import value_entry_size
 from repro.hw.cpu import Core
 from repro.hw.dram import Dram
 from repro.hw.ssd import NVMeSSD, SSDProfile
@@ -192,6 +193,56 @@ class TestCapacityLimits:
             return status
 
         assert drive(sim, proc()) == "store_full"
+
+    def test_full_segment_chain_counts_orphaned_value(self, sim):
+        """The value lands before the segment update; when the chain is
+        full that entry is unreferenced, hence garbage."""
+        store = make_store(sim, num_segments=1, max_chain=1)
+
+        def proc():
+            stored = []
+            for index in range(100):
+                key = b"key-%04d" % index
+                result = yield from store.put(key, b"v")
+                if not result.ok:
+                    return stored, key, result.status
+                stored.append(key)
+            raise AssertionError("the single bucket never filled")
+
+        stored, rejected, status = drive(sim, proc())
+        assert status == "store_full"
+        assert store.live_objects == len(stored)
+        assert store.stats.value_garbage_bytes == value_entry_size(
+            len(rejected), 1)
+
+    def test_key_log_full_overwrite_keeps_previous_value(self, sim):
+        """A segment append refused by the key-log reserve leaves the
+        old value live: only the new, orphaned entry is garbage."""
+        store = make_store(sim, key_log_bytes=64 << 10)
+
+        def proc():
+            written = []
+            for index in range(1000):
+                value = b"v" * (index + 1)
+                result = yield from store.put(b"k", value)
+                if not result.ok:
+                    garbage = store.stats.value_garbage_bytes
+                    deleted = yield from store.delete(b"k")
+                    read = yield from store.get(b"k")
+                    return (written, value, result.status, garbage,
+                            deleted.status, read)
+                written.append(value)
+            raise AssertionError("the key log never filled")
+
+        written, rejected, status, garbage, deleted, read = drive(sim, proc())
+        assert status == "store_full"
+        superseded = sum(value_entry_size(1, len(v)) for v in written[:-1])
+        assert garbage == superseded + value_entry_size(1, len(rejected))
+        # A tombstone refused the same way frees nothing either.
+        assert deleted == "store_full"
+        assert store.stats.value_garbage_bytes == garbage
+        assert read.value == written[-1]
+        assert store.live_objects == 1
 
 
 class TestScan:

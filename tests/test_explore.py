@@ -82,13 +82,6 @@ class TestConfigSpace:
             diffs = [k for k in point if point[k] != neighbor[k]]
             assert len(diffs) == 1
 
-    def test_sim_signature_drops_wallclock_dims(self):
-        space = ConfigSpace([
-            Dimension("concurrency", (16, 24), "run"),
-            Dimension("wall_knob", (1, 2), "run", digest_affecting=False)])
-        assert space.sim_signature(space.default_point()) == {
-            "concurrency": 16}
-
     def test_grid_is_exhaustive_and_ordered(self):
         space = ConfigSpace([Dimension("a", (1, 2), "run"),
                              Dimension("b", ("x", "y"), "run")])

@@ -168,6 +168,85 @@ class TestProcess:
             sim.process(lambda: None)
 
 
+class TestUnwatchedFinish:
+    """A process nobody waits on finishes in place, with no completion
+    event; every later way of waiting on it must still work."""
+
+    @staticmethod
+    def _finished_unwatched(sim, value="v"):
+        def child():
+            yield sim.timeout(3)
+            return value
+
+        proc = sim.process(child())
+        sim.run(until=5)
+        assert proc.processed and proc.value == value
+        return proc
+
+    def test_finishes_without_a_completion_event(self, sim):
+        def child():
+            yield sim.timeout(3)
+
+        sim.process(child())
+        sim.run()
+        # init + timeout; no completion event was dispatched.
+        assert sim.events_dispatched == 2
+
+    def test_later_yield_resumes(self, sim):
+        proc = self._finished_unwatched(sim)
+
+        def waiter():
+            value = yield proc
+            return value, sim.now
+
+        assert drive(sim, waiter()) == ("v", 5.0)
+
+    def test_later_all_of_resumes(self, sim):
+        proc = self._finished_unwatched(sim)
+
+        def waiter():
+            result = yield sim.all_of([proc])
+            return result[proc]
+
+        assert drive(sim, waiter()) == "v"
+
+    def test_later_run_until_returns_value(self, sim):
+        proc = self._finished_unwatched(sim)
+        assert sim.run(until=proc) == "v"
+        assert sim.now == 5.0
+
+    def test_run_until_live_process_stops_when_it_finishes(self, sim):
+        def child():
+            yield sim.timeout(3)
+            return "done"
+
+        proc = sim.process(child())
+        sim.schedule(3, lambda: None)
+        sim.schedule(9, lambda: None)
+        assert sim.run(until=proc) == "done"
+        assert sim.now == 3.0
+        assert proc.processed
+
+    def test_failed_process_still_raises(self, sim):
+        def bad():
+            yield sim.timeout(1)
+            raise KeyError("unwatched")
+
+        sim.process(bad())
+        with pytest.raises(KeyError):
+            sim.run()
+
+    def test_run_until_failed_process_raises(self, sim):
+        def bad():
+            yield sim.timeout(1)
+            raise KeyError("watched")
+
+        proc = sim.process(bad())
+        with pytest.raises(KeyError):
+            sim.run(until=proc)
+        sim.run()  # the defused failure does not crash the rest
+
+
 class TestInterrupt:
     def test_interrupt_delivers_cause(self, sim):
         def sleeper():

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.sim.core import Simulator
 from repro.sim.queues import PriorityStore, Store
 from repro.sim.resources import Resource, TokenBucket
 
@@ -100,6 +101,58 @@ class TestResource:
     def test_invalid_capacity(self, sim):
         with pytest.raises(ValueError):
             Resource(sim, capacity=0)
+
+
+class TestTryAcquire:
+    def test_grants_free_slot_without_an_event(self, sim):
+        resource = Resource(sim, capacity=2)
+        assert resource.try_acquire()
+        assert resource.in_use == 1
+        assert sim.pending_events == 0
+
+    def test_refuses_when_full(self, sim):
+        resource = Resource(sim, capacity=1)
+        assert resource.try_acquire()
+        assert not resource.try_acquire()
+        assert resource.in_use == 1
+
+    def test_refuses_behind_a_queued_larger_request(self, sim):
+        """FCFS: a small request must not overtake a queued big one,
+        even though it would fit in the free slots right now."""
+        resource = Resource(sim, capacity=3)
+        assert resource.try_acquire(2)
+        big = resource.acquire(3)
+        assert resource.queue_length == 1 and resource.available == 1
+        assert not resource.try_acquire(1)
+        assert resource.in_use == 2
+        resource.release(2)
+        assert big.triggered
+        assert resource.in_use == 3
+
+    def test_utilization_matches_acquire(self):
+        def run(take):
+            sim = Simulator()
+            resource = Resource(sim, capacity=2)
+
+            def worker(start, hold):
+                yield sim.timeout(start)
+                yield from take(resource)
+                yield sim.timeout(hold)
+                resource.release()
+
+            for start, hold in ((0, 30), (5, 40), (10, 20), (12, 8)):
+                sim.process(worker(start, hold))
+            sim.run(until=100)
+            return resource.utilization(), resource._busy_area
+
+        def via_acquire(resource):
+            yield resource.acquire()
+
+        def via_try(resource):
+            if not resource.try_acquire():
+                yield resource.acquire()
+
+        assert run(via_try) == run(via_acquire)
 
 
 class TestTokenBucket:
